@@ -9,7 +9,7 @@ around the compressors.
 It also hosts the ``repro check`` static-analysis suite
 (:mod:`repro.analysis.engine` plus the checker modules ``locks``,
 ``clocks``, ``wire``, ``banned``) — dependency-free ``ast``-based lint
-for the service tier's concurrency, clock, and wire-protocol
+for the service tier's concurrency, clock, and report-schema
 conventions.  See ``docs/STATIC_ANALYSIS.md``.
 """
 

@@ -1,10 +1,9 @@
 """``repro check`` — dependency-free, ``ast``-based static analysis.
 
-The service tier's correctness rests on three hand-maintained
-conventions: lock discipline in the threaded modules, the monotonic
-clock convention (``*_mono``), and three synchronized copies of the wire
-protocol (node server, gateway, client).  This engine makes those
-conventions machine-checked at lint time.
+The service tier's correctness rests on hand-maintained conventions:
+lock discipline in the threaded modules, the monotonic clock convention
+(``*_mono``), and report dataclasses that match their wire dicts.  This
+engine makes those conventions machine-checked at lint time.
 
 Architecture
 ------------
@@ -13,7 +12,7 @@ Architecture
   - ``"file"`` checkers see one :class:`ParsedFile` at a time and are
     cached per file, keyed by content hash;
   - ``"project"`` checkers see the whole :class:`Project` (cross-file
-    facts: lock-acquisition graph, wire-protocol agreement) and always
+    facts: lock-acquisition graph, report-schema agreement) and always
     run.
 
 * **Suppressions**: a ``# repro: ignore[RULE]`` comment on the flagged
@@ -477,7 +476,7 @@ def build_check_parser(parser: argparse.ArgumentParser | None = None,
         parser = argparse.ArgumentParser(
             prog="repro check",
             description="Static analysis: lock discipline, clock convention, "
-                        "wire-protocol drift, banned patterns.")
+                        "report-schema drift, banned patterns.")
     parser.add_argument("paths", nargs="*",
                         help="files/directories to check (default: src/repro)")
     parser.add_argument("--root", default=None,

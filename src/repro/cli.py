@@ -25,7 +25,7 @@ Commands
                 it as a waterfall (see docs/TRACING.md)
 ``load``        open-loop load harness with SLO gating (``BENCH_*`` snapshots)
 ``check``       run the static-analysis suite (lock discipline, clock
-                convention, wire-protocol drift; see docs/STATIC_ANALYSIS.md)
+                convention, report schema; see docs/STATIC_ANALYSIS.md)
 ``info``        show a ``.frz``/``.frzs`` file's metadata
 ``datasets``    print the Table III analog of the bundled synthetic datasets
 """
@@ -391,12 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check",
-        help="static analysis: locks, clocks, wire protocol, banned patterns",
+        help="static analysis: locks, clocks, report schema, banned patterns",
         description="Dependency-free AST lint over src/repro: guarded-by "
                     "lock discipline and lock-order cycles (LOCK*), the "
-                    "monotonic-clock convention (MONO*), wire-protocol "
-                    "drift between server/gateway/client (WIRE*), and "
-                    "banned patterns (BAN*).  Exits 1 on any new finding. "
+                    "monotonic-clock convention (MONO*), report-schema "
+                    "drift between report dataclasses and their to_dict "
+                    "(WIRE003), and banned patterns (BAN*).  Exits 1 on any new finding. "
                     "See docs/STATIC_ANALYSIS.md.",
     )
     from repro.analysis.engine import build_check_parser

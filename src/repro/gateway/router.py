@@ -61,6 +61,7 @@ from repro.serve.client import (
     ServiceUnavailableError,
 )
 from repro.serve.jobs import JobSpec
+from repro.serve.protocol import pending_body, result_body, ticket_body
 from repro.util.concurrency import guarded_by
 
 __all__ = ["Router", "RoutedJob", "RouterStats", "NoCapacityError"]
@@ -381,14 +382,8 @@ class Router:
                 root.record_error(exc)
                 self.tracer.finish_span(root)
             raise
-        ticket = {
-            "job_id": job.id,
-            "state": "queued",
-            "node": job.node_id,
-            "coalesced_into": job.coalesced_into,
-            "trace_id": job.trace_id,
-        }
-        return job, ticket
+        return job, ticket_body(job.id, "queued", job.coalesced_into,
+                                job.trace_id, node=job.node_id)
 
     def get(self, gid: str) -> RoutedJob | None:
         with self._lock:
@@ -427,15 +422,13 @@ class Router:
             if record is not None and record.state in NodeState.ALIVE:
                 self._fetch_result(job, record, only_if_done=True)
         if job.state == "done":
-            return 200, {"job_id": job.id, "state": "done",
-                         "coalesced_into": job.coalesced_into,
-                         "result": job.result, "error": None}
+            return 200, result_body(job.id, "done", job.coalesced_into,
+                                    job.result, None)
         if job.state == "failed":
-            return 200, {"job_id": job.id, "state": "failed",
-                         "coalesced_into": job.coalesced_into,
-                         "result": None, "error": job.error}
-        return 202, {"job_id": job.id, "state": "queued",
-                     "node": job.node_id, "failovers": job.failovers}
+            return 200, result_body(job.id, "failed", job.coalesced_into,
+                                    None, job.error)
+        return 202, pending_body(job.id, "queued", node=job.node_id,
+                                 failovers=job.failovers)
 
     def drain(self, node_id: str) -> dict | None:
         record = self.registry.drain(node_id)

@@ -1,237 +1,140 @@
 """Stdlib HTTP front-end for the gateway tier.
 
 Same dependency-free :class:`http.server.ThreadingHTTPServer` stack as
-the node-side service — the gateway speaks the *same client protocol*
-(``/submit``, ``/status``, ``/result``, ``/stats``, ``/metrics``,
-``/health``), so a :class:`~repro.serve.client.ServiceClient` pointed at
-a gateway works unchanged, plus the fleet-facing control plane.
+the node-side service — the gateway speaks the *same client protocol*,
+so a :class:`~repro.serve.client.ServiceClient` pointed at a gateway
+works unchanged, plus the fleet-facing control plane (register,
+heartbeat, unregister, drain, undrain).
 
-Client-facing endpoints
------------------------
-``POST /submit``          validate, route by coalesce key, forward to the
-                          owning shard → ``202 {"job_id", "state",
-                          "node", "coalesced_into"}``; ``400`` invalid
-                          spec; ``429`` + ``Retry-After`` when the owning
-                          shard is backpressured; ``503`` when no node is
-                          routable.
-``GET /status/<id>``      gateway routing record (+ live node view).
-``GET /result/<id>``      cached/proxied result; ``202`` while pending
-                          (including mid-failover).
-``GET /trace/<id>``       stitched span tree: gateway spans merged with
-                          the owning shard's (``404`` when unknown,
-                          unsampled, or evicted).
-``GET /stats``            fleet membership, routing counters, metrics.
-``GET /metrics``          Prometheus text (``repro_gateway_*``).
-``GET /health``           liveness probe (includes the package version).
+The routes, their URL templates and the shared request plumbing live in
+:mod:`repro.serve.protocol`; this module maps the gateway's routes to
+the :class:`Router`.  ``docs/GATEWAY.md`` documents each endpoint's
+replies.
 
 Submits may carry a W3C ``traceparent`` header; the extracted context
 ties the whole routed journey into the caller's trace, and the 202
 ticket reports the ``trace_id`` either way.
-
-Fleet-facing endpoints (worker nodes + operators)
--------------------------------------------------
-``POST /register``            body ``{"node_id", "url"}`` — join the fleet.
-``POST /unregister/<node>``   clean departure (owed jobs requeue).
-``POST /heartbeat/<node>``    body ``{"finished": [...], "stats": {...}}``
-                              → ``{"acked", "state", ...}``; ``404`` for
-                              unknown nodes (the agent re-registers).
-``POST /admin/drain/<node>``  stop routing new work to the node.
-``POST /admin/undrain/<node>`` resume routing to a draining node.
 """
 
 from __future__ import annotations
-
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro import __version__
 from repro.gateway.router import NoCapacityError, Router
 from repro.obs.trace import TRACEPARENT_HEADER, TraceContext
 from repro.serve.client import BackpressureError
+from repro.serve.protocol import JsonHandler, JsonServer, Route
 
 __all__ = ["GatewayServer", "DEFAULT_GATEWAY_PORT"]
 
 DEFAULT_GATEWAY_PORT = 8076
 
-#: Gateway bodies are control-plane JSON plus inline arrays on /submit.
-MAX_BODY_BYTES = 256 * 2**20
+
+def _unknown_node(node_id: str) -> tuple[int, dict]:
+    return 404, {"error": f"unknown node {node_id!r}"}
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JsonHandler):
     server_version = "repro-gateway/1"
-    protocol_version = "HTTP/1.1"
 
-    router: Router = None  # type: ignore[assignment]
-    verbose: bool = False
-
-    # -- plumbing ----------------------------------------------------------
-    def log_message(self, fmt: str, *args) -> None:  # noqa: A003
-        if self.verbose:  # pragma: no cover - log formatting
-            super().log_message(fmt, *args)
-
-    def _send(self, code: int, payload: dict, headers: dict | None = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length > MAX_BODY_BYTES:
-            raise ValueError(f"request body exceeds {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length)
-        if not raw:
-            return {}
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"request body is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
-
-    # -- routes ------------------------------------------------------------
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        try:
-            body = self._read_json()
-        except ValueError as exc:
-            self.close_connection = True
-            self._send(400, {"error": str(exc)})
-            return
-        if self.path == "/submit":
-            self._submit(body)
-            return
-        if self.path == "/register":
-            try:
-                payload = self.router.register_node(
-                    str(body.get("node_id", "")), str(body.get("url", "")))
-            except ValueError as exc:
-                self._send(400, {"error": str(exc)})
-                return
-            self._send(200, payload)
-            return
-        for prefix, handler in (
-            ("/heartbeat/", self._heartbeat),
-            ("/unregister/", self._unregister),
-            ("/admin/drain/", self._drain),
-            ("/admin/undrain/", self._undrain),
-        ):
-            if self.path.startswith(prefix):
-                handler(self.path[len(prefix):], body)
-                return
-        self.close_connection = True
-        self._send(404, {"error": f"unknown endpoint {self.path!r}"})
-
-    def _submit(self, body: dict) -> None:
+    def _submit(self, _, body: dict):
         context = TraceContext.from_traceparent(
             self.headers.get(TRACEPARENT_HEADER))
         try:
-            _, ticket = self.router.submit(body, trace_context=context)
+            _, ticket = self.app.router.submit(body, trace_context=context)
         except ValueError as exc:
-            self._send(400, {"error": str(exc)})
-            return
+            return 400, {"error": str(exc)}
         except BackpressureError as exc:
             retry_after = float(exc.body.get("retry_after", 1.0))
-            self._send(429, {"error": str(exc), "retry_after": retry_after},
-                       headers={"Retry-After": f"{retry_after:g}"})
-            return
+            return (429, {"error": str(exc), "retry_after": retry_after},
+                    {"Retry-After": f"{retry_after:g}"})
         except NoCapacityError as exc:
-            self._send(503, {"error": str(exc), "retry_after": 1.0},
-                       headers={"Retry-After": "1"})
-            return
-        self._send(202, ticket)
+            return (503, {"error": str(exc), "retry_after": 1.0},
+                    {"Retry-After": "1"})
+        return 202, ticket
 
-    def _heartbeat(self, node_id: str, body: dict) -> None:
+    def _status(self, job_id: str, _):
+        payload = self.app.router.job_status(job_id)
+        if payload is None:
+            return 404, {"error": "unknown job id"}
+        return 200, payload
+
+    def _result(self, job_id: str, _):
+        answer = self.app.router.job_result(job_id)
+        if answer is None:
+            return 404, {"error": "unknown job id"}
+        return answer
+
+    def _trace(self, ref: str, _):
+        payload = self.app.router.trace_payload(ref)
+        if payload is None:
+            return 404, {"error": "unknown job/trace id "
+                                  "(unsampled or evicted traces 404)"}
+        return 200, payload
+
+    def _stats(self, *_):
+        return 200, self.app.router.stats_payload()
+
+    def _metrics(self, *_):
+        router = self.app.router
+        if router.metrics is None:
+            return 404, {"error": "metrics are disabled on this gateway"}
+        from repro.obs.exposition import CONTENT_TYPE
+
+        return 200, router.metrics_text(), {"Content-Type": CONTENT_TYPE}
+
+    def _health(self, *_):
+        counts = self.app.router.registry.counts()
+        return 200, {"status": "ok", "nodes_active": counts["active"],
+                     "version": __version__}
+
+    def _register(self, _, body: dict):
+        try:
+            return 200, self.app.router.register_node(
+                str(body.get("node_id", "")), str(body.get("url", "")))
+        except ValueError as exc:
+            return 400, {"error": str(exc)}
+
+    def _heartbeat(self, node_id: str, body: dict):
         finished = body.get("finished") or []
         if not isinstance(finished, list):
-            self._send(400, {"error": "finished must be a list of job ids"})
-            return
-        payload = self.router.node_heartbeat(
+            return 400, {"error": "finished must be a list of job ids"}
+        stats = body.get("stats")
+        payload = self.app.router.node_heartbeat(
             node_id, finished=[str(j) for j in finished],
-            reported=body.get("stats") if isinstance(body.get("stats"), dict) else None,
-        )
+            reported=stats if isinstance(stats, dict) else None)
         if payload is None:
-            self._send(404, {"error": f"unknown node {node_id!r}; re-register"})
-            return
-        self._send(200, payload)
+            return 404, {"error": f"unknown node {node_id!r}; re-register"}
+        return 200, payload
 
-    def _unregister(self, node_id: str, body: dict) -> None:
-        payload = self.router.unregister_node(node_id)
-        if payload is None:
-            self._send(404, {"error": f"unknown node {node_id!r}"})
-            return
-        self._send(200, payload)
+    def _unregister(self, node_id: str, _):
+        payload = self.app.router.unregister_node(node_id)
+        return _unknown_node(node_id) if payload is None else (200, payload)
 
-    def _drain(self, node_id: str, body: dict) -> None:
-        payload = self.router.drain(node_id)
-        if payload is None:
-            self._send(404, {"error": f"unknown node {node_id!r}"})
-            return
-        self._send(200, payload)
+    def _drain(self, node_id: str, _):
+        payload = self.app.router.drain(node_id)
+        return _unknown_node(node_id) if payload is None else (200, payload)
 
-    def _undrain(self, node_id: str, body: dict) -> None:
-        payload = self.router.undrain(node_id)
-        if payload is None:
-            self._send(404, {"error": f"unknown node {node_id!r}"})
-            return
-        self._send(200, payload)
+    def _undrain(self, node_id: str, _):
+        payload = self.app.router.undrain(node_id)
+        return _unknown_node(node_id) if payload is None else (200, payload)
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if self.path == "/stats":
-            self._send(200, self.router.stats_payload())
-            return
-        if self.path == "/metrics":
-            if self.router.metrics is None:
-                self._send(404, {"error": "metrics are disabled on this gateway"})
-                return
-            from repro.obs.exposition import CONTENT_TYPE
-
-            data = self.router.metrics_text().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-            return
-        if self.path == "/health":
-            counts = self.router.registry.counts()
-            self._send(200, {"status": "ok", "nodes_active": counts["active"],
-                             "version": __version__})
-            return
-        if self.path.startswith("/trace/"):
-            payload = self.router.trace_payload(self.path[len("/trace/"):])
-            if payload is None:
-                self._send(404, {"error": "unknown job/trace id "
-                                          "(unsampled or evicted traces 404)"})
-            else:
-                self._send(200, payload)
-            return
-        if self.path.startswith("/status/"):
-            payload = self.router.job_status(self.path[len("/status/"):])
-            if payload is None:
-                self._send(404, {"error": "unknown job id"})
-                return
-            self._send(200, payload)
-            return
-        if self.path.startswith("/result/"):
-            answer = self.router.job_result(self.path[len("/result/"):])
-            if answer is None:
-                self._send(404, {"error": "unknown job id"})
-                return
-            code, payload = answer
-            self._send(code, payload)
-            return
-        self._send(404, {"error": f"unknown endpoint {self.path!r}"})
+    routes = {
+        Route.SUBMIT: _submit,
+        Route.STATUS: _status,
+        Route.RESULT: _result,
+        Route.TRACE: _trace,
+        Route.STATS: _stats,
+        Route.METRICS: _metrics,
+        Route.HEALTH: _health,
+        Route.REGISTER: _register,
+        Route.HEARTBEAT: _heartbeat,
+        Route.UNREGISTER: _unregister,
+        Route.DRAIN: _drain,
+        Route.UNDRAIN: _undrain,
+    }
 
 
-class GatewayServer:
+class GatewayServer(JsonServer):
     """Owns one :class:`Router` plus the HTTP listener bound to it.
 
     ``port=0`` binds an ephemeral port (read it back from :attr:`url`).
@@ -244,6 +147,9 @@ class GatewayServer:
             ...
     """
 
+    handler = _Handler
+    thread_name = "repro-gateway-http"
+
     def __init__(
         self,
         router: Router | None = None,
@@ -255,51 +161,10 @@ class GatewayServer:
         if router is not None and router_kwargs:
             raise ValueError("pass router kwargs or an instance, not both")
         self.router = router or Router(**router_kwargs)
-        handler = type("_BoundHandler", (_Handler,),
-                       {"router": self.router, "verbose": verbose})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self._thread: threading.Thread | None = None
+        super().__init__(host, port, verbose)
 
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "GatewayServer":
+    def _start_backend(self) -> None:
         self.router.start()
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever, name="repro-gateway-http",
-                daemon=True)
-            self._thread.start()
-        return self
 
-    def serve_forever(self) -> None:
-        """Blocking variant for the CLI (Ctrl-C to stop)."""
-        self.router.start()
-        try:
-            self._httpd.serve_forever()
-        finally:
-            self.shutdown()
-
-    def shutdown(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(5.0)
-            self._thread = None
+    def _stop_backend(self) -> None:
         self.router.stop()
-
-    def __enter__(self) -> "GatewayServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()

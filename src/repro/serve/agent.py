@@ -2,7 +2,7 @@
 
 A :class:`NodeAgent` rides inside a ``repro serve`` process started with
 ``--register <gateway-url>``.  It owns the node's half of the gateway
-protocol (see :mod:`repro.gateway.server`):
+protocol (routes in :mod:`repro.serve.protocol`):
 
 * **register** — ``POST /register`` with the node's id and advertised
   URL, retried until the gateway answers (nodes and gateway can start in
@@ -29,13 +29,11 @@ evidence flowing.
 
 from __future__ import annotations
 
-import json
 import threading
-import urllib.error
-import urllib.request
 from collections import deque
 
-from repro.serve.client import ProtocolError
+from repro.serve.client import ProtocolError, ServiceClient, ServiceError
+from repro.serve.protocol import Route, path
 from repro.serve.scheduler import Scheduler
 from repro.util.concurrency import guarded_by
 
@@ -69,7 +67,8 @@ class NodeAgent:
         self.advertise_url = advertise_url.rstrip("/")
         #: ``None`` defers to the gateway's registration response.
         self.heartbeat_interval = heartbeat_interval
-        self.timeout = timeout
+        self._client = ServiceClient(self.gateway_url, timeout=timeout,
+                                     backpressure_wait=0.0)
         self.registered = False
         self.draining = False
         self.heartbeats_sent = 0
@@ -134,8 +133,8 @@ class NodeAgent:
             self._thread = None
         if self.registered:
             try:
-                self._post(f"/unregister/{self.node_id}", {})
-            except OSError:  # repro: ignore[EXC002]
+                self._post(path(Route.UNREGISTER, self.node_id), {})
+            except ServiceError:  # repro: ignore[EXC002]
                 pass  # the death timer handles it
             self.registered = False
 
@@ -154,8 +153,13 @@ class NodeAgent:
     def _try_register(self) -> float:
         try:
             status, body = self._post(
-                "/register", {"node_id": self.node_id, "url": self.advertise_url})
-        except OSError:
+                path(Route.REGISTER),
+                {"node_id": self.node_id, "url": self.advertise_url})
+        except ProtocolError:
+            # A reply we cannot read is not an acceptance: retry.
+            self.protocol_errors += 1
+            return min(1.0, self._interval())
+        except ServiceError:
             self.register_failures += 1
             return min(1.0, self._interval())
         if status != 200:
@@ -179,9 +183,12 @@ class NodeAgent:
             finished = list(self._pending)
         try:
             status, body = self._post(
-                f"/heartbeat/{self.node_id}",
+                path(Route.HEARTBEAT, self.node_id),
                 {"finished": finished, "stats": self._report()})
-        except OSError:
+        except ProtocolError:
+            self.protocol_errors += 1
+            return self._interval()
+        except ServiceError:
             return self._interval()  # gateway unreachable: keep trying
         if status == 404:
             # The gateway restarted (or reaped us as dead and we then
@@ -249,20 +256,12 @@ class NodeAgent:
         }
 
     # -- transport ---------------------------------------------------------
-    def _post(self, path: str, body: dict) -> tuple[int, dict]:
-        data = json.dumps(body).encode("utf-8")
-        req = urllib.request.Request(
-            f"{self.gateway_url}{path}", data=data, method="POST",
-            headers={"Content-Type": "application/json"})
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return resp.status, json.loads(resp.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            try:
-                payload = json.loads(exc.read().decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                payload = {}
-            return exc.code, payload
+    def _post(self, url_path: str, body: dict) -> tuple[int, dict]:
+        """``POST`` to the gateway through the client transport: raises
+        :class:`~repro.serve.client.ServiceError` when unreachable,
+        :class:`~repro.serve.client.ProtocolError` on an unreadable
+        success body."""
+        return self._client._request("POST", url_path, body)
 
     # -- introspection -----------------------------------------------------
     def status_dict(self) -> dict:

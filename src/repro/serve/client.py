@@ -22,6 +22,7 @@ import numpy as np
 from repro.api.request import CompressionRequest
 from repro.errors import JobTimeoutError, ReproError
 from repro.serve.jobs import JobSpec
+from repro.serve.protocol import Route, path
 
 __all__ = [
     "ServiceClient",
@@ -77,9 +78,10 @@ class ProtocolError(ServiceError):
 
     Raised instead of ``KeyError`` so callers can tell "the service
     broke its contract" apart from their own bugs, and so the offending
-    ``body`` travels with the exception.  The ``repro check`` wire-drift
-    checker (``WIRE001``/``WIRE002``) guards the same contract at lint
-    time; this is the runtime backstop for servers outside this tree.
+    ``body`` travels with the exception.  A success-status body that is
+    not a JSON object raises it too.  Servers in this tree build their
+    bodies from :mod:`repro.serve.protocol`; this is the runtime backstop
+    for servers outside it.
     """
 
 
@@ -125,9 +127,28 @@ class ServiceClient:
     ) -> tuple[int, dict, dict]:
         """One round trip returning ``(status, json body, response headers)``.
 
-        Response header names are lowercased; error-status bodies are
-        parsed the same as success bodies (empty dict when not JSON).
+        Response header names are lowercased.  A success body that is not
+        a JSON object raises :class:`ProtocolError`; an error-status body
+        that is not one reads as an empty dict.
         """
+        status, raw, resp_headers = self._exchange(method, path, body, headers)
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            payload = None
+        if not isinstance(payload, dict):
+            if status < 300:
+                raise ProtocolError(
+                    f"{method} {path}: HTTP {status} body is not a JSON object",
+                    status=status)
+            payload = {}
+        return status, payload, resp_headers
+
+    def _exchange(
+        self, method: str, path: str, body: dict | None = None,
+        headers: dict | None = None,
+    ) -> tuple[int, bytes, dict]:
+        """The raw round trip: ``(status, body bytes, response headers)``."""
         data = json.dumps(body).encode("utf-8") if body is not None else None
         send_headers = dict(headers or {})
         if data is not None:
@@ -137,19 +158,16 @@ class ServiceClient:
         )
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return (resp.status, json.loads(resp.read().decode("utf-8")),
+                return (resp.status, resp.read(),
                         {k.lower(): v for k, v in resp.headers.items()})
         except urllib.error.HTTPError as exc:
             # HTTPError doubles as the (open) response object: close it on
             # every path or the socket lingers until GC.
             try:
-                payload = json.loads(exc.read().decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                payload = {}
+                return (exc.code, exc.read(),
+                        {k.lower(): v for k, v in (exc.headers or {}).items()})
             finally:
                 exc.close()
-            return (exc.code, payload,
-                    {k.lower(): v for k, v in (exc.headers or {}).items()})
         except urllib.error.URLError as exc:
             raise ServiceUnavailableError(
                 f"cannot reach {self.url}: {exc.reason}") from exc
@@ -202,7 +220,7 @@ class ServiceClient:
         deadline = time.monotonic() + self.backpressure_wait
         while True:
             status, payload, headers = self._request_full(
-                "POST", "/submit", body, send_headers)
+                "POST", path(Route.SUBMIT), body, send_headers)
             retry_after = self._retry_after(payload, headers)
             if status == 202:
                 _require_field(payload, "job_id", str,
@@ -240,7 +258,7 @@ class ServiceClient:
         ``cancelled`` is ``False`` when the job already finished or is
         running on a backend that cannot stop it (thread execution).
         """
-        status, payload = self._request("POST", f"/cancel/{job_id}")
+        status, payload = self._request("POST", path(Route.CANCEL, job_id))
         if status != 200:
             raise ServiceError(payload.get("error", f"HTTP {status}"),
                                status=status, body=payload)
@@ -252,7 +270,7 @@ class ServiceClient:
 
         No interpretation, no polling — the gateway proxies with this.
         """
-        return self._request("GET", f"/status/{job_id}")
+        return self._request("GET", path(Route.STATUS, job_id))
 
     def poll_result(self, job_id: str) -> tuple[int, dict]:
         """One ``GET /result/<id>`` round trip: ``(http status, body)``.
@@ -263,10 +281,10 @@ class ServiceClient:
         job — callers that need the raw protocol (the gateway's
         result-ack fetch) decide for themselves.
         """
-        return self._request("GET", f"/result/{job_id}")
+        return self._request("GET", path(Route.RESULT, job_id))
 
     def status(self, job_id: str) -> dict:
-        status, payload = self._request("GET", f"/status/{job_id}")
+        status, payload = self._request("GET", path(Route.STATUS, job_id))
         if status != 200:
             raise ServiceError(payload.get("error", f"HTTP {status}"),
                                status=status, body=payload)
@@ -283,7 +301,7 @@ class ServiceClient:
         """
         deadline = time.monotonic() + timeout
         while True:
-            status, payload = self._request("GET", f"/result/{job_id}")
+            status, payload = self._request("GET", path(Route.RESULT, job_id))
             if status == 200:
                 state = _require_field(payload, "state", str,
                                        context="result payload", status=status)
@@ -313,37 +331,33 @@ class ServiceClient:
         :class:`ServiceError` with ``status=404`` when the reference is
         unknown, the trace was never sampled, or it has been evicted.
         """
-        status, payload = self._request("GET", f"/trace/{ref}")
+        status, payload = self._request("GET", path(Route.TRACE, ref))
         if status != 200:
             raise ServiceError(payload.get("error", f"HTTP {status}"),
                                status=status, body=payload)
         return payload
 
     def stats(self) -> dict:
-        status, payload = self._request("GET", "/stats")
+        status, payload = self._request("GET", path(Route.STATS))
         if status != 200:
-            raise ServiceError(f"/stats returned HTTP {status}", status=status)
+            raise ServiceError(f"{path(Route.STATS)} returned HTTP {status}",
+                               status=status)
         return payload
 
     def health(self) -> dict:
-        status, payload = self._request("GET", "/health")
+        status, payload = self._request("GET", path(Route.HEALTH))
         if status != 200:
-            raise ServiceError(f"/health returned HTTP {status}", status=status)
+            raise ServiceError(f"{path(Route.HEALTH)} returned HTTP {status}",
+                               status=status)
         return payload
 
     def metrics_text(self) -> str:
         """The raw ``GET /metrics`` body (Prometheus text exposition)."""
-        req = urllib.request.Request(f"{self.url}/metrics", method="GET")
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return resp.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            raise ServiceError(f"/metrics returned HTTP {exc.code}",
-                               status=exc.code) from exc
-        except urllib.error.URLError as exc:
-            raise ServiceUnavailableError(
-                f"cannot reach {self.url}: {exc.reason}") from exc
+        status, raw, _ = self._exchange("GET", path(Route.METRICS))
+        if status != 200:
+            raise ServiceError(f"{path(Route.METRICS)} returned HTTP {status}",
+                               status=status)
+        return raw.decode("utf-8")
 
     def metrics(self) -> dict:
         """``/metrics`` parsed into ``{name: [MetricSample, ...]}``."""

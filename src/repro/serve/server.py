@@ -5,33 +5,9 @@ for a JSON control plane, keeps the service dependency-free, and its
 thread-per-connection model composes cleanly with the scheduler's own
 worker pool (handlers only ever touch thread-safe scheduler methods).
 
-Endpoints
----------
-``POST /submit``        body: a :class:`~repro.serve.jobs.JobSpec` dict —
-                        i.e. a serialized
-                        :class:`~repro.api.request.CompressionRequest`
-                        (any kind: tune/compress/decompress/stream) plus
-                        optional ``priority``/``max_retries``; legacy
-                        flat bodies still parse →
-                        ``202 {"job_id", "state", "coalesced_into"}``;
-                        ``400`` on an invalid spec; ``429`` +
-                        ``Retry-After`` when the queue is full.
-``POST /cancel/<id>``   cancel a queued job (process backend: also a
-                        running one — see the scheduler's tombstone
-                        semantics); ``200 {"job_id", "cancelled",
-                        "state"}``; ``404`` for unknown ids.
-``GET /status/<id>``    job lifecycle record; ``404`` for unknown ids.
-``GET /result/<id>``    ``200`` with the result/error once finished,
-                        ``202`` with the current state while pending.
-``GET /stats``          scheduler, queue, search, cache and trace
-                        counters, plus a ``metrics`` snapshot of the
-                        registry.
-``GET /metrics``        Prometheus text exposition (version 0.0.4) of
-                        the scheduler's metrics registry; ``404`` when
-                        the scheduler was built with ``metrics=False``.
-``GET /trace/<ref>``    span tree for a job id (or raw 32-hex trace id);
-                        ``404`` when unknown, unsampled, or evicted.
-``GET /health``         liveness probe (includes the package version).
+The routes, their URL templates and the shared request plumbing live in
+:mod:`repro.serve.protocol`; this module maps the node's routes to the
+scheduler.  ``docs/SERVICE.md`` documents each endpoint's replies.
 
 Submits may carry a W3C ``traceparent`` header; the extracted context
 makes the job's spans part of the caller's trace (and the 202 ticket
@@ -40,13 +16,17 @@ reports the ``trace_id`` either way).
 
 from __future__ import annotations
 
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
 from repro import __version__
 from repro.obs.trace import TRACEPARENT_HEADER, TraceContext
 from repro.serve.jobs import JobSpec
+from repro.serve.protocol import (
+    JsonHandler,
+    JsonServer,
+    Route,
+    pending_body,
+    result_body,
+    ticket_body,
+)
 from repro.serve.queue import QueueFull
 from repro.serve.scheduler import Scheduler
 
@@ -54,160 +34,89 @@ __all__ = ["ServiceServer", "DEFAULT_PORT"]
 
 DEFAULT_PORT = 8077
 
-#: Largest accepted request body (inline arrays ride in submits).
-MAX_BODY_BYTES = 256 * 2**20
+_UNKNOWN_JOB = {"error": "unknown job id"}
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JsonHandler):
     server_version = "repro-serve/1"
-    protocol_version = "HTTP/1.1"
 
-    # Set by ServiceServer on the server class instance.
-    scheduler: Scheduler = None  # type: ignore[assignment]
-    agent = None  # NodeAgent when this node registered with a gateway
-    verbose: bool = False
-
-    # -- plumbing ----------------------------------------------------------
-    def log_message(self, fmt: str, *args) -> None:  # noqa: A003
-        if self.verbose:  # pragma: no cover - log formatting
-            super().log_message(fmt, *args)
-
-    def _send(self, code: int, payload: dict, headers: dict | None = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, code: int, body: str, content_type: str) -> None:
-        data = body.encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        if length > MAX_BODY_BYTES:
-            raise ValueError(f"request body exceeds {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length)
+    def _submit(self, _, body: dict):
         try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"request body is not valid JSON: {exc}") from None
-
-    # -- routes ------------------------------------------------------------
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if self.path.startswith("/cancel/"):
-            # Cancel takes no body, but a keep-alive client may send one
-            # anyway (e.g. curl -d '{}'); drain it so the unread bytes are
-            # not parsed as the next request line.
-            length = int(self.headers.get("Content-Length", 0) or 0)
-            if 0 < length <= 65536:
-                self.rfile.read(length)
-            elif length > 65536:
-                self.close_connection = True
-            job_id = self.path[len("/cancel/"):]
-            job = self.scheduler.get(job_id)
-            if job is None:
-                self._send(404, {"error": "unknown job id"})
-                return
-            cancelled = self.scheduler.cancel(job_id)
-            self._send(200, {
-                "job_id": job_id,
-                "cancelled": cancelled,
-                "state": job.state.value,
-            })
-            return
-        if self.path != "/submit":
-            # The request body was never read; a keep-alive peer would see
-            # its unread bytes parsed as the next request line.
-            self.close_connection = True
-            self._send(404, {"error": f"unknown endpoint {self.path!r}"})
-            return
-        try:
-            spec = JobSpec.from_dict(self._read_json())
+            spec = JobSpec.from_dict(body)
         except ValueError as exc:
-            # Oversized bodies are rejected unread — don't reuse the socket.
-            self.close_connection = True
-            self._send(400, {"error": str(exc)})
-            return
+            return 400, {"error": str(exc)}
         context = TraceContext.from_traceparent(
             self.headers.get(TRACEPARENT_HEADER))
         try:
-            job = self.scheduler.submit(spec, trace_context=context)
+            job = self.app.scheduler.submit(spec, trace_context=context)
         except QueueFull as exc:
-            self._send(
-                429,
-                {"error": str(exc), "retry_after": exc.retry_after},
-                headers={"Retry-After": f"{exc.retry_after:g}"},
-            )
-            return
-        self._send(202, {
-            "job_id": job.id,
-            "state": job.state.value,
-            "coalesced_into": job.coalesced_into,
-            "trace_id": job.trace_id,
-        })
+            return (429, {"error": str(exc), "retry_after": exc.retry_after},
+                    {"Retry-After": f"{exc.retry_after:g}"})
+        return 202, ticket_body(job.id, job.state.value, job.coalesced_into,
+                                job.trace_id)
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if self.path == "/stats":
-            payload = self.scheduler.stats_payload()
-            if self.agent is not None:
-                payload["shard"] = self.agent.status_dict()
-            self._send(200, payload)
-            return
-        if self.path == "/metrics":
-            if self.scheduler.metrics is None:
-                self._send(404, {"error": "metrics are disabled on this service"})
-                return
-            from repro.obs.exposition import CONTENT_TYPE
+    def _cancel(self, job_id: str, _):
+        scheduler = self.app.scheduler
+        job = scheduler.get(job_id)
+        if job is None:
+            return 404, _UNKNOWN_JOB
+        cancelled = scheduler.cancel(job_id)
+        return 200, {"job_id": job_id, "cancelled": cancelled,
+                     "state": job.state.value}
 
-            self._send_text(200, self.scheduler.metrics_text(), CONTENT_TYPE)
-            return
-        if self.path == "/health":
-            self._send(200, {"status": "ok", "paused": self.scheduler.paused,
-                             "version": __version__})
-            return
-        if self.path.startswith("/trace/"):
-            payload = self.scheduler.trace_payload(self.path[len("/trace/"):])
-            if payload is None:
-                self._send(404, {"error": "unknown job/trace id "
-                                          "(unsampled or evicted traces 404)"})
-            else:
-                self._send(200, payload)
-            return
-        for prefix in ("/status/", "/result/"):
-            if self.path.startswith(prefix):
-                job = self.scheduler.get(self.path[len(prefix):])
-                if job is None:
-                    self._send(404, {"error": "unknown job id"})
-                    return
-                if prefix == "/status/":
-                    self._send(200, job.status_dict())
-                elif not job.finished:
-                    self._send(202, {"job_id": job.id, "state": job.state.value})
-                else:
-                    self._send(200, {
-                        "job_id": job.id,
-                        "state": job.state.value,
-                        "coalesced_into": job.coalesced_into,
-                        "result": job.result,
-                        "error": job.error,
-                    })
-                return
-        self._send(404, {"error": f"unknown endpoint {self.path!r}"})
+    def _status(self, job_id: str, _):
+        job = self.app.scheduler.get(job_id)
+        if job is None:
+            return 404, _UNKNOWN_JOB
+        return 200, job.status_dict()
+
+    def _result(self, job_id: str, _):
+        job = self.app.scheduler.get(job_id)
+        if job is None:
+            return 404, _UNKNOWN_JOB
+        if not job.finished:
+            return 202, pending_body(job.id, job.state.value)
+        return 200, result_body(job.id, job.state.value, job.coalesced_into,
+                                job.result, job.error)
+
+    def _trace(self, ref: str, _):
+        payload = self.app.scheduler.trace_payload(ref)
+        if payload is None:
+            return 404, {"error": "unknown job/trace id "
+                                  "(unsampled or evicted traces 404)"}
+        return 200, payload
+
+    def _stats(self, *_):
+        payload = self.app.scheduler.stats_payload()
+        if self.app.agent is not None:
+            payload["shard"] = self.app.agent.status_dict()
+        return 200, payload
+
+    def _metrics(self, *_):
+        scheduler = self.app.scheduler
+        if scheduler.metrics is None:
+            return 404, {"error": "metrics are disabled on this service"}
+        from repro.obs.exposition import CONTENT_TYPE
+
+        return 200, scheduler.metrics_text(), {"Content-Type": CONTENT_TYPE}
+
+    def _health(self, *_):
+        return 200, {"status": "ok", "paused": self.app.scheduler.paused,
+                     "version": __version__}
+
+    routes = {
+        Route.SUBMIT: _submit,
+        Route.CANCEL: _cancel,
+        Route.STATUS: _status,
+        Route.RESULT: _result,
+        Route.TRACE: _trace,
+        Route.STATS: _stats,
+        Route.METRICS: _metrics,
+        Route.HEALTH: _health,
+    }
 
 
-class ServiceServer:
+class ServiceServer(JsonServer):
     """Owns one scheduler plus the HTTP listener bound to it.
 
     ``port=0`` binds an ephemeral port (read it back from
@@ -219,6 +128,9 @@ class ServiceServer:
             client = ServiceClient(server.url)
             ...
     """
+
+    handler = _Handler
+    thread_name = "repro-serve-http"
 
     def __init__(
         self,
@@ -235,12 +147,8 @@ class ServiceServer:
         if scheduler is not None and scheduler_kwargs:
             raise ValueError("pass scheduler kwargs or an instance, not both")
         self.scheduler = scheduler or Scheduler(**scheduler_kwargs)
-        handler = type("_BoundHandler", (_Handler,),
-                       {"scheduler": self.scheduler, "verbose": verbose})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self._thread: threading.Thread | None = None
         self.agent = None
+        super().__init__(host, port, verbose)
         if register is not None:
             # The listener is already bound, so the real port is known
             # even when the caller asked for an ephemeral one.
@@ -252,55 +160,19 @@ class ServiceServer:
                 advertise_url=advertise_url or self.url,
                 heartbeat_interval=heartbeat_interval,
             )
-            handler.agent = self.agent
 
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ServiceServer":
-        """Start scheduler workers and the HTTP listener thread."""
+    def _start_backend(self) -> None:
         self.scheduler.start()
         if self.agent is not None:
             self.agent.start()
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever, name="repro-serve-http", daemon=True
-            )
-            self._thread.start()
-        return self
 
-    def serve_forever(self) -> None:
-        """Blocking variant for the CLI (Ctrl-C to stop)."""
-        self.scheduler.start()
-        if self.agent is not None:
-            self.agent.start()
-        try:
-            self._httpd.serve_forever()
-        finally:
-            self.shutdown()
+    def _stop_backend(self) -> None:
+        self.scheduler.close()
 
     def shutdown(self) -> None:
         """Stop the listener, the workers, and persist the cache tier."""
+        # Leave the fleet before the listener goes down, so the gateway
+        # stops routing here while this node still answers.
         if self.agent is not None:
             self.agent.stop()
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(5.0)
-            self._thread = None
-        self.scheduler.close()
-
-    def __enter__(self) -> "ServiceServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
+        super().shutdown()

@@ -24,10 +24,14 @@ def test_builtin_suite_registers_all_checkers():
     assert {"lock-discipline", "lock-order", "monotonic-clock",
             "wire-protocol", "banned-patterns"} <= names
     rules = rule_catalogue()
-    for rule in ("LOCK001", "LOCK002", "MONO001", "MONO002",
-                 "WIRE001", "WIRE002", "WIRE003",
+    for rule in ("LOCK001", "LOCK002", "MONO001", "MONO002", "WIRE003",
                  "BAN001", "BAN002", "BAN003"):
         assert rule in rules
+    # Route and payload drift cannot happen: serve/protocol.py declares
+    # the protocol once, so those rules are gone from the catalogue.
+    assert not {"WIRE001", "WIRE002"} & set(rules)
+    assert main(["--explain", "WIRE001"]) == 1
+    assert main(["--explain", "WIRE003"]) == 0
 
 
 def test_finding_key_is_line_independent():

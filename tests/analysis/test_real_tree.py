@@ -2,8 +2,8 @@
 
 This is the acceptance gate CI enforces (`repro check --strict`): every
 guarded class obeys its declared lock, no wall-clock duration math, the
-three wire-protocol copies agree, the lock graph is acyclic, and the
-committed baseline is empty (no grandfathered findings).
+report schema matches its dataclasses, the lock graph is acyclic, and
+the committed baseline is empty (no grandfathered findings).
 """
 
 from __future__ import annotations

@@ -137,3 +137,40 @@ def test_agent_heartbeat_ignores_mistyped_acks(monkeypatch):
     agent._try_heartbeat()
     assert agent.protocol_errors == 1
     assert "j-1" in agent._pending_set  # nothing silently dropped
+
+
+# -- non-JSON bodies ----------------------------------------------------------
+def _raw_client(monkeypatch, status, raw):
+    """A client whose wire replies ``(status, raw body bytes)``."""
+    client = ServiceClient("http://127.0.0.1:1")
+    monkeypatch.setattr(
+        client, "_exchange",
+        lambda method, url_path, body=None, headers=None: (status, raw, {}))
+    return client
+
+
+_CALLS = {
+    "health": (200, lambda c: c.health()),
+    "stats": (200, lambda c: c.stats()),
+    "status": (200, lambda c: c.status("j-1")),
+    "submit": (202, lambda c: c.submit(kind="tune", input="/tmp/x.npy",
+                                       target_ratio=8.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CALLS))
+@pytest.mark.parametrize("raw", [b"<html>proxy error</html>", b"[1, 2]",
+                                 b"\xff\xfe", b""])
+def test_non_json_success_body_is_protocol_error(monkeypatch, name, raw):
+    status, call = _CALLS[name]
+    with pytest.raises(ProtocolError) as exc:
+        call(_raw_client(monkeypatch, status, raw))
+    assert exc.value.status == status
+
+
+def test_non_json_error_body_keeps_its_status(monkeypatch):
+    client = _raw_client(monkeypatch, 502, b"<html>bad gateway</html>")
+    with pytest.raises(ServiceError) as exc:
+        client.status("j-1")
+    assert not isinstance(exc.value, ProtocolError)
+    assert exc.value.status == 502
